@@ -1348,3 +1348,73 @@ func BenchmarkDegradedScatter(b *testing.B) {
 
 	b.Run("query/degraded", func(b *testing.B) { scatter(b, true) })
 }
+
+// BenchmarkColdBoot splits a cold mass-server boot on the paper-scale
+// corpus (synth seed 1: 3000 bloggers, ~40k posts, as crawled in the MASS
+// paper) into its serial stages:
+//
+//	xml-load — xmlstore.Load of the corpus file (the Crawler Module's XML
+//	           store);
+//	analysis — cluster.New with one shard: the cold initial analysis
+//	           (tokenize, classify, novelty, sentiment, the Eq. 1/4
+//	           solve, recommenders);
+//	stats    — the boot log line's Cluster.Stats over the built cluster.
+//
+// Run with -benchmem: the summed B/op of the three stages is the boot's
+// allocation volume.
+func BenchmarkColdBoot(b *testing.B) {
+	corpus, _, err := synth.Generate(synth.Config{Seed: 1, Bloggers: 3000, Posts: 40000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "corpus.xml")
+	if err := xmlstore.Save(path, corpus); err != nil {
+		b.Fatal(err)
+	}
+	corpus = nil
+	engine := core.EngineOptions{FlushEvery: 1 << 20, FlushInterval: time.Hour}
+	load := func(b *testing.B) *blog.Corpus {
+		c, err := xmlstore.Load(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+
+	b.Run("xml-load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			load(b)
+		}
+	})
+	b.Run("analysis", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := load(b)
+			runtime.GC()
+			b.StartTimer()
+			cl, err := cluster.New(c, cluster.Options{Shards: 1, Engine: engine})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			cl.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("stats", func(b *testing.B) {
+		cl, err := cluster.New(load(b), cluster.Options{Shards: 1, Engine: engine})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := cl.Stats(cl.View()); st.AvgPostLenWords == 0 {
+				b.Fatal("empty stats")
+			}
+		}
+	})
+}

@@ -90,12 +90,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Boot is serial — decode, analyze, listen — and each stage logs its
+	// own wall time, so a slow start points at the stage that caused it.
 	var corpus *blog.Corpus
 	if *corpusPath != "" {
+		t0 := time.Now()
 		var err error
 		if corpus, err = xmlstore.Load(*corpusPath); err != nil {
 			log.Fatal(err)
 		}
+		fmt.Printf("loaded corpus in %s (%d bloggers, %d posts from %s)\n",
+			time.Since(t0).Round(time.Millisecond), len(corpus.Bloggers), len(corpus.Posts), *corpusPath)
 	}
 
 	// One code path for every deployment shape: the cluster with one shard
@@ -124,6 +129,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	analysis := time.Since(t0)
 	if *dataDir != "" {
 		st := cl.Status()
 		switch {
@@ -134,7 +140,7 @@ func main() {
 			fmt.Printf("recovered %s: %d WAL records replayed\n", *dataDir, st.RecoveredRecords)
 		}
 	}
-	fmt.Printf("initial analysis in %s (%s)\n", time.Since(t0).Round(time.Millisecond), cl.Stats(cl.View()))
+	fmt.Printf("initial analysis in %s (%s)\n", analysis.Round(time.Millisecond), cl.Stats(cl.View()))
 	if cl.NumShards() > 1 {
 		fmt.Printf("sharded: %d shards, %d boundary edges, scatter deadline %s\n",
 			cl.NumShards(), cl.BoundaryEdges(), *shardTimeout)

@@ -23,15 +23,24 @@ type Stats struct {
 // the token counter to use for post lengths (injected to keep this package
 // free of text-processing dependencies).
 func ComputeStats(c *Corpus, wordCount func(string) int) Stats {
+	totalWords := 0
+	for _, p := range c.Posts {
+		totalWords += wordCount(p.Body)
+	}
+	return StatsWithWords(c, totalWords)
+}
+
+// StatsWithWords is ComputeStats for a caller that already knows the
+// corpus's total post length in words (an analysis that tokenized every
+// post), so no body is tokenized again.
+func StatsWithWords(c *Corpus, totalWords int) Stats {
 	s := Stats{
 		Bloggers: len(c.Bloggers),
 		Posts:    len(c.Posts),
 		Links:    len(c.Links),
 	}
-	totalLen := 0
 	for _, p := range c.Posts {
 		s.Comments += len(p.Comments)
-		totalLen += wordCount(p.Body)
 	}
 	for b := range c.Bloggers {
 		if n := len(c.PostsBy(b)); n > s.MaxPostsPerUser {
@@ -45,7 +54,7 @@ func ComputeStats(c *Corpus, wordCount func(string) int) Stats {
 		}
 	}
 	if s.Posts > 0 {
-		s.AvgPostLenWords = float64(totalLen) / float64(s.Posts)
+		s.AvgPostLenWords = float64(totalWords) / float64(s.Posts)
 	}
 	return s
 }

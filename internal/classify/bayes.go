@@ -34,10 +34,14 @@ type Example struct {
 // smoothing, trained over the stemmed-term analyzer chain, optionally
 // augmented with bigram features.
 type NaiveBayes struct {
-	labels     []string
-	prior      map[string]float64            // log P(label)
-	condLog    map[string]map[string]float64 // label -> term -> log P(term|label)
-	defaultLog map[string]float64            // label -> log prob of unseen term
+	labels []string
+	prior  []float64 // log P(label), by label slot
+	// rows holds one dense row per vocabulary term: rows[t][i] is
+	// log P(t | labels[i]), or defaultLog[i] when label i never saw t.
+	// Classify then costs one map lookup per term, not one per
+	// (label, term) pair.
+	rows       map[string][]float64
+	defaultLog []float64 // log prob of an unseen term, by label slot
 	vocabSize  int
 	bigrams    bool
 }
@@ -79,27 +83,35 @@ func trainNB(examples []Example, bigrams bool) (*NaiveBayes, error) {
 			vocab[t] = struct{}{}
 		}
 	}
+	labels := make([]string, 0, len(docCount))
+	for label := range docCount {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
 	nb := &NaiveBayes{
-		prior:      map[string]float64{},
-		condLog:    map[string]map[string]float64{},
-		defaultLog: map[string]float64{},
+		labels:     labels,
+		prior:      make([]float64, len(labels)),
+		rows:       make(map[string][]float64, len(vocab)),
+		defaultLog: make([]float64, len(labels)),
 		vocabSize:  len(vocab),
 		bigrams:    bigrams,
 	}
 	v := float64(len(vocab))
 	total := float64(len(examples))
-	for label, dc := range docCount {
-		nb.labels = append(nb.labels, label)
-		nb.prior[label] = math.Log(float64(dc) / total)
-		denom := totalTerms[label] + v // Laplace smoothing
-		cond := make(map[string]float64, len(termCount[label]))
-		for t, c := range termCount[label] {
-			cond[t] = math.Log((c + 1) / denom)
-		}
-		nb.condLog[label] = cond
-		nb.defaultLog[label] = math.Log(1 / denom)
+	denom := make([]float64, len(labels))
+	for i, label := range labels {
+		nb.prior[i] = math.Log(float64(docCount[label]) / total)
+		denom[i] = totalTerms[label] + v // Laplace smoothing
+		nb.defaultLog[i] = math.Log(1 / denom[i])
 	}
-	sort.Strings(nb.labels)
+	for t := range vocab {
+		nb.rows[t] = append([]float64(nil), nb.defaultLog...)
+	}
+	for i, label := range labels {
+		for t, c := range termCount[label] {
+			nb.rows[t][i] = math.Log((c + 1) / denom[i])
+		}
+	}
 	return nb, nil
 }
 
@@ -113,20 +125,17 @@ func (nb *NaiveBayes) VocabularySize() int { return nb.vocabSize }
 // are converted back to probabilities with the log-sum-exp trick so the
 // result is a proper distribution even for long documents.
 func (nb *NaiveBayes) Classify(text string) map[string]float64 {
-	terms := features(text, nb.bigrams)
-	logp := make([]float64, len(nb.labels))
-	for i, label := range nb.labels {
-		lp := nb.prior[label]
-		cond := nb.condLog[label]
-		def := nb.defaultLog[label]
-		for _, t := range terms {
-			if c, ok := cond[t]; ok {
-				lp += c
-			} else {
-				lp += def
-			}
+	logp := append([]float64(nil), nb.prior...)
+	// Terms outer, labels inner: each label still sums its terms in
+	// features order, so the posteriors match a per-label loop bit for bit.
+	for _, t := range features(text, nb.bigrams) {
+		row := nb.rows[t]
+		if row == nil {
+			row = nb.defaultLog
 		}
-		logp[i] = lp
+		for i, c := range row {
+			logp[i] += c
+		}
 	}
 	return softmaxLogs(nb.labels, logp)
 }

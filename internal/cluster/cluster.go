@@ -432,26 +432,47 @@ func (cl *Cluster) boundarySnapshot() []blog.Link {
 // shards (so per-shard solves and the merged node union see them), then
 // dedup into the set and append to the boundary WAL.
 func (cl *Cluster) addBoundary(from, to blog.BloggerID) error {
-	for _, id := range [2]blog.BloggerID{from, to} {
-		id := id
-		sh := cl.shards[cl.Owner(id)]
-		err := cl.applyShard(sh,
-			func(e *core.Engine) error { return e.EnsureBlogger(id) },
-			func() []wal.Op {
-				return []wal.Op{{Kind: wal.OpBlogger, Blogger: &blog.Blogger{ID: id}}}
-			})
-		if err != nil {
-			return err
+	l := blog.Link{From: from, To: to}
+	if err := cl.admitEndpoints([]blog.Link{l}, nil); err != nil {
+		return err
+	}
+	return cl.recordBoundary(l)
+}
+
+// admitEndpoints admits the endpoints of cross-shard links as stub
+// bloggers on their owner shards, skipping those in created (bloggers the
+// same write adds on their owner shard itself). Stub admission is
+// idempotent, so a write that admits endpoints before anything else stays
+// safe to retry when a shard sheds it with OverloadError.
+func (cl *Cluster) admitEndpoints(links []blog.Link, created map[blog.BloggerID]bool) error {
+	for _, l := range links {
+		for _, id := range [2]blog.BloggerID{l.From, l.To} {
+			if created[id] {
+				continue
+			}
+			err := cl.applyShard(cl.shards[cl.Owner(id)],
+				func(e *core.Engine) error { return e.EnsureBlogger(id) },
+				func() []wal.Op {
+					return []wal.Op{{Kind: wal.OpBlogger, Blogger: &blog.Blogger{ID: id}}}
+				})
+			if err != nil {
+				return err
+			}
 		}
 	}
-	l := blog.Link{From: from, To: to}
+	return nil
+}
+
+// recordBoundary adds a cross-shard edge whose endpoints are admitted to
+// the boundary set, appending it to the boundary WAL unless already known.
+func (cl *Cluster) recordBoundary(l blog.Link) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if _, dup := cl.boundary[l]; dup {
 		return nil
 	}
 	if cl.bwal != nil {
-		if err := cl.bwal.Append(wal.Op{Kind: wal.OpLink, From: from, To: to}); err != nil {
+		if err := cl.bwal.Append(wal.Op{Kind: wal.OpLink, From: l.From, To: l.To}); err != nil {
 			return err
 		}
 	}
@@ -464,6 +485,10 @@ func (cl *Cluster) addBoundary(from, to blog.BloggerID) error {
 // that fails on one shard does not undo sub-batches already applied on
 // others (the error still reports the failure). Cross-shard links go to
 // the boundary set with stub endpoints admitted on their owner shards.
+// The stubs go first: admission is idempotent, so a shard that sheds one
+// leaves the batch retryable (a resubmission cannot collide with its own
+// half-applied posts), and a sub-batch that fails afterwards leaves at
+// most a stub behind, like any other per-shard partial failure.
 func (cl *Cluster) AddBatch(b core.Batch) error {
 	if len(cl.shards) == 1 {
 		sh := cl.shards[0]
@@ -506,6 +531,15 @@ func (cl *Cluster) AddBatch(b core.Batch) error {
 			crossLinks = append(crossLinks, l)
 		}
 	}
+	if len(crossLinks) > 0 {
+		created := make(map[blog.BloggerID]bool, len(b.Bloggers))
+		for _, bl := range b.Bloggers {
+			created[bl.ID] = true
+		}
+		if err := cl.admitEndpoints(crossLinks, created); err != nil {
+			return err
+		}
+	}
 	for s, part := range parts {
 		if part.Size() == 0 {
 			continue
@@ -526,7 +560,7 @@ func (cl *Cluster) AddBatch(b core.Batch) error {
 		cl.mu.Unlock()
 	}
 	for _, l := range crossLinks {
-		if err := cl.addBoundary(l.From, l.To); err != nil {
+		if err := cl.recordBoundary(l); err != nil {
 			return err
 		}
 	}
@@ -565,6 +599,9 @@ func (cl *Cluster) IngestPage(page *blogserver.Page) error {
 			local.Linkbacks = append(local.Linkbacks, source)
 		}
 	}
+	if err := cl.admitEndpoints(cross, map[blog.BloggerID]bool{page.Blogger.ID: true}); err != nil {
+		return err
+	}
 	err := cl.applyShard(cl.shards[s],
 		func(e *core.Engine) error { return e.IngestPage(&local) },
 		func() []wal.Op { return pageOps(&local) })
@@ -579,7 +616,7 @@ func (cl *Cluster) IngestPage(page *blogserver.Page) error {
 		cl.mu.Unlock()
 	}
 	for _, l := range cross {
-		if err := cl.addBoundary(l.From, l.To); err != nil {
+		if err := cl.recordBoundary(l); err != nil {
 			return err
 		}
 	}

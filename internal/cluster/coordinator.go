@@ -8,7 +8,6 @@ import (
 	"mass/internal/blog"
 	"mass/internal/core"
 	"mass/internal/query"
-	"mass/internal/textutil"
 )
 
 // View pins one immutable snapshot per shard — the cluster-wide analogue
@@ -295,6 +294,7 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 	totalWords := 0
 	for si, snap := range v.Snaps {
 		c := snap.Corpus()
+		totalWords += snap.Result().TotalWords()
 		for id := range c.Bloggers {
 			if cl.Owner(id) == si {
 				s.Bloggers++
@@ -303,7 +303,6 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 		for _, p := range c.Posts {
 			s.Posts++
 			postsBy[p.Author]++
-			totalWords += textutil.WordCount(p.Body)
 			for _, cm := range p.Comments {
 				s.Comments++
 				commentsBy[cm.Commenter]++

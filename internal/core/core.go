@@ -25,7 +25,6 @@ import (
 	"mass/internal/query"
 	"mass/internal/recommend"
 	"mass/internal/synth"
-	"mass/internal/textutil"
 	"mass/internal/viz"
 	"mass/internal/xmlstore"
 )
@@ -243,7 +242,8 @@ func (s *System) SaveCorpus(path string) error {
 	return xmlstore.Save(path, s.corpus)
 }
 
-// Stats summarizes the corpus.
+// Stats summarizes the corpus. Post lengths come from the analysis, which
+// already counted every body's words.
 func (s *System) Stats() blog.Stats {
-	return blog.ComputeStats(s.corpus, textutil.WordCount)
+	return blog.StatsWithWords(s.corpus, s.result.TotalWords())
 }

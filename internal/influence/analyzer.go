@@ -125,8 +125,9 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 	}
 
 	// --- Quality facet: normalized length × novelty (Eq. 2). ---
-	quality, nov, reusedNov := a.computeQuality(c, posts, cache)
+	quality, nov, words, reusedNov := a.computeQuality(c, posts, cache)
 	res.ReusedNovelty = reusedNov
+	res.totalWords = words
 	for i, pid := range posts {
 		res.Quality[pid] = quality[i]
 		res.Novelty[pid] = nov[i]
@@ -443,14 +444,16 @@ func bloggersEqual(a, b []blog.BloggerID) bool {
 }
 
 // computeQuality scores every post: token count normalized by the corpus
-// maximum, times the novelty factor. Tokenization (word counts + shingles)
-// dominates quality scoring; cached posts skip it entirely, and fresh posts
-// tokenize in parallel. Novelty is scored in chronological order so the
+// maximum, times the novelty factor; it also returns the corpus's total
+// token count. Tokenization (word counts + shingles) dominates quality
+// scoring; cached posts skip it entirely, and fresh posts tokenize in
+// parallel. Novelty is scored in chronological order so the
 // near-duplicate detector sees originals first; when the cached scoring
 // order is a prefix of the current one (the live-append common case), only
 // the new tail runs through the detector, otherwise the detector resets
-// and replays from the cached shingles.
-func (a *Analyzer) computeQuality(c *blog.Corpus, posts []blog.PostID, cache *Cache) (quality, nov []float64, reused int) {
+// and replays from the cached shingles — into an index pre-sized for the
+// whole replay.
+func (a *Analyzer) computeQuality(c *blog.Corpus, posts []blog.PostID, cache *Cache) (quality, nov []float64, words, reused int) {
 	n := len(posts)
 	quality = make([]float64, n)
 	nov = make([]float64, n)
@@ -501,6 +504,7 @@ func (a *Analyzer) computeQuality(c *blog.Corpus, posts []blog.PostID, cache *Ca
 	maxLen := 0.0
 	for i, pid := range posts {
 		lengths[i] = cache.posts[pid].words
+		words += int(lengths[i])
 		if lengths[i] > maxLen {
 			maxLen = lengths[i]
 		}
@@ -528,6 +532,13 @@ func (a *Analyzer) computeQuality(c *blog.Corpus, posts []blog.PostID, cache *Ca
 			cache.resetNovelty()
 		}
 		scored := len(cache.order)
+		if cache.det.SeenCount() == 0 {
+			total := 0
+			for _, pid := range chronoIDs {
+				total += cache.posts[pid].prepared.ShingleCount()
+			}
+			cache.det.Grow(n, total)
+		}
 		for k := 0; k < scored; k++ {
 			nov[order[k]] = cache.posts[chronoIDs[k]].nov
 		}
@@ -546,7 +557,7 @@ func (a *Analyzer) computeQuality(c *blog.Corpus, posts []blog.PostID, cache *Ca
 			quality[i] = lengths[i] / maxLen * nov[i]
 		}
 	}
-	return quality, nov, reused
+	return quality, nov, words, reused
 }
 
 // sentimentFactors returns the SF value of every comment, grouped per post

@@ -79,6 +79,7 @@ type Result struct {
 	postQuality   []float64
 	postNovelty   []float64
 	postSentiment []float64 // mean comment SF per post; 0 with no comments
+	totalWords    int       // Σ WordCount(body) over posts
 
 	// Lazily precomputed rankings (once per Result, i.e. once per
 	// published snapshot).
@@ -95,6 +96,11 @@ func (r *Result) Domains() []string {
 	}
 	return r.domains.Names()
 }
+
+// TotalWords returns the summed token count (textutil.WordCount) of every
+// analyzed post body: the length facet behind Quality, which the analysis
+// cache keeps per post, so corpus statistics need not re-tokenize.
+func (r *Result) TotalWords() int { return r.totalWords }
 
 // domainRow returns blogger b's dense domain score row, or nil.
 func (r *Result) domainRow(b blog.BloggerID) []float64 {

@@ -158,7 +158,7 @@ func RestoreCache(st *CacheState) *Cache {
 		for i := range st.Posts {
 			total += len(st.Posts[i].Shingles)
 		}
-		ch.det.Reserve(total)
+		ch.det.Grow(len(st.NovOrder), total)
 	}
 	for _, pid := range st.NovOrder {
 		f := ch.posts[pid]

@@ -13,6 +13,7 @@
 package novelty
 
 import (
+	"slices"
 	"strings"
 
 	"mass/internal/lexicon"
@@ -42,12 +43,20 @@ type Detector struct {
 	// size and dominated analysis wall time on large corpora). Shingles are
 	// 64-bit hashes, never strings: integer keys keep the index compact and
 	// cheap to rebuild when a durable snapshot is restored. Most shingles
-	// occur in exactly one document, so the first posting is stored inline
-	// in `first` and only repeat shingles grow a slice in `more` — the
-	// split avoids one tiny slice allocation per distinct shingle.
-	first    map[uint64]int32
-	more     map[uint64][]int32
+	// occur in exactly one document, so the index stores that posting
+	// inline and only a repeat shingle points at a posting list in lists
+	// (see shingleIndex). One lookup then serves both the overlap count and
+	// the insertion of the new document.
+	index    shingleIndex
+	lists    [][]int32
 	seenSize []int // shingle-set size per seen document
+
+	// ScorePrepared's overlap counter, reused across documents: shared[doc]
+	// is how many shingles the document being scored shares with seen
+	// document doc, and touched lists the non-zero slots so resetting
+	// costs O(candidates), not O(seen documents).
+	shared  []int32
+	touched []int32
 }
 
 // New returns a detector using the standard copy-indicator lexicon,
@@ -57,8 +66,6 @@ func New() *Detector {
 		indicators:   lexicon.CopyIndicators(),
 		shingleK:     4,
 		dupThreshold: 0.7,
-		first:        map[uint64]int32{},
-		more:         map[uint64][]int32{},
 	}
 }
 
@@ -123,48 +130,85 @@ func (d *Detector) Prepare(text string) Prepared {
 func (d *Detector) ScorePrepared(p Prepared) float64 {
 	s := p.indicator
 	sh := p.shingles
-	if len(sh) > 0 {
-		shared := map[int32]int{}
-		for _, g := range sh {
-			if doc, ok := d.first[g]; ok {
-				shared[doc]++
-				for _, rest := range d.more[g] {
-					shared[rest]++
-				}
-			}
-		}
-		for doc, inter := range shared {
-			union := len(sh) + d.seenSize[doc] - inter
-			if union > 0 && float64(inter)/float64(union) >= d.dupThreshold {
-				if s > maxCopyScore {
-					s = maxCopyScore
-				}
-				break
-			}
+	d.observe(sh, true)
+	for _, doc := range d.touched {
+		inter := int(d.shared[doc])
+		d.shared[doc] = 0
+		union := len(sh) + d.seenSize[doc] - inter
+		if union > 0 && float64(inter)/float64(union) >= d.dupThreshold && s > maxCopyScore {
+			s = maxCopyScore
 		}
 	}
-	d.observe(sh)
+	d.touched = d.touched[:0]
 	return s
 }
 
-// observe appends the next document id to every posting list in sh.
-func (d *Detector) observe(sh []uint64) {
+// observe gives the next document id to the shingle set sh and files it in
+// the inverted index. With count set it also tallies, in the same lookup
+// per shingle, how many shingles sh shares with each earlier document
+// (into shared/touched). A document never counts its own postings, even
+// if a restored shingle set repeats a hash.
+func (d *Detector) observe(sh []uint64, count bool) {
 	id := int32(len(d.seenSize))
-	d.seenSize = append(d.seenSize, len(sh))
+	d.shared = append(d.shared, 0)
+	d.index.reserve(len(sh))
 	for _, g := range sh {
-		if _, ok := d.first[g]; !ok {
-			d.first[g] = id
-		} else {
-			d.more[g] = append(d.more[g], id)
+		slot := d.index.find(g)
+		switch ref := slot.ref; {
+		case ref == 0:
+			*slot = indexSlot{lo: uint32(g), hi: uint32(g >> 32), ref: id + 1}
+			d.index.n++
+		case ref > 0:
+			if count {
+				d.tally(ref-1, id)
+			}
+			slot.ref = -int32(len(d.lists)) - 1
+			d.lists = append(d.lists, []int32{ref - 1, id})
+		default:
+			l := &d.lists[-ref-1]
+			if count {
+				for _, doc := range *l {
+					d.tally(doc, id)
+				}
+			}
+			*l = append(*l, id)
 		}
+	}
+	d.seenSize = append(d.seenSize, len(sh))
+}
+
+// tally counts one shingle shared between document self and doc.
+func (d *Detector) tally(doc, self int32) {
+	if doc == self {
+		return
+	}
+	if d.shared[doc] == 0 {
+		d.touched = append(d.touched, doc)
+	}
+	d.shared[doc]++
+}
+
+// Grow pre-sizes the detector for about docs more documents holding about
+// shingles shingles in total, so a bulk pass (a cold analysis, or
+// RestoreCache replaying a checkpoint) does not pay for repeated index
+// growth and rehashing.
+func (d *Detector) Grow(docs, shingles int) {
+	if shingles > 0 {
+		d.index.reserve(shingles)
+	}
+	if docs > 0 {
+		d.seenSize = slices.Grow(d.seenSize, docs)
+		d.shared = slices.Grow(d.shared, docs)
 	}
 }
 
 // Reset clears the seen-post memory (the indicator lexicon is kept).
 func (d *Detector) Reset() {
-	d.first = map[uint64]int32{}
-	d.more = map[uint64][]int32{}
+	d.index = shingleIndex{}
+	d.lists = nil
 	d.seenSize = nil
+	d.shared = nil
+	d.touched = nil
 }
 
 // SeenCount reports how many texts have been scored since the last Reset.

@@ -16,17 +16,12 @@ func (p Prepared) Shingles() []uint64 {
 	return append([]uint64(nil), p.shingles...)
 }
 
+// ShingleCount returns the size of the prepared document's shingle set,
+// without copying it.
+func (p Prepared) ShingleCount() int { return len(p.shingles) }
+
 // Indicator returns the copy-indicator score computed by Prepare.
 func (p Prepared) Indicator() float64 { return p.indicator }
-
-// Reserve pre-sizes the inverted index for about n shingle insertions, so
-// a bulk rebuild (RestoreCache replaying a checkpoint) does not pay for
-// incremental map growth. A no-op once any document has been indexed.
-func (d *Detector) Reserve(n int) {
-	if len(d.first) == 0 && n > 0 {
-		d.first = make(map[uint64]int32, n)
-	}
-}
 
 // Observe records a prepared document in the seen index without scoring
 // it: the document gets the next slot in scoring order and its shingles
@@ -37,7 +32,7 @@ func (d *Detector) Reserve(n int) {
 // linear in the shingle count — the lookup is the quadratic-ish part on
 // template-heavy corpora.
 func (d *Detector) Observe(p Prepared) {
-	d.observe(p.shingles)
+	d.observe(p.shingles, false)
 }
 
 // RestorePrepared rebuilds a Prepared from its serialized parts. The

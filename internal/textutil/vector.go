@@ -9,7 +9,7 @@ import (
 type TermVector map[string]float64
 
 // NewTermVector builds a term-frequency vector from raw text using the
-// standard analyzer chain (Tokenize → RemoveStopwords → Stem).
+// standard analyzer chain (Terms: tokenize, drop stopwords, stem).
 func NewTermVector(text string) TermVector {
 	v := TermVector{}
 	for _, t := range Terms(text) {
@@ -104,50 +104,6 @@ func Shingles(text string, k int) map[string]struct{} {
 		set[key] = struct{}{}
 	}
 	return set
-}
-
-// ShingleHashes returns the 64-bit FNV-1a hashes of the k-gram token
-// shingles of text (tokens joined by a single space), deduplicated and
-// sorted ascending. Hashing shingles instead of materializing their strings
-// makes the near-duplicate detector's index an integer-keyed map and a
-// serialized shingle set a flat 8-byte-per-entry array; a 64-bit hash makes
-// cross-shingle collisions (a slightly inflated Jaccard overlap) vanishingly
-// rare at realistic corpus sizes. The hash is a fixed function of the text,
-// so persisted shingle sets remain comparable across processes.
-func ShingleHashes(text string, k int) []uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	toks := Tokenize(text)
-	if k <= 0 || len(toks) < k {
-		return nil
-	}
-	out := make([]uint64, 0, len(toks)-k+1)
-	for i := 0; i+k <= len(toks); i++ {
-		h := uint64(offset64)
-		for j := i; j < i+k; j++ {
-			if j > i {
-				h ^= ' '
-				h *= prime64
-			}
-			for m := 0; m < len(toks[j]); m++ {
-				h ^= uint64(toks[j][m])
-				h *= prime64
-			}
-		}
-		out = append(out, h)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	dst := out[:0]
-	var last uint64
-	for i, h := range out {
-		if i == 0 || h != last {
-			dst = append(dst, h)
-			last = h
-		}
-	}
-	return dst
 }
 
 // Jaccard returns the Jaccard similarity |a∩b| / |a∪b| of two shingle sets,

@@ -59,13 +59,15 @@ func Write(w io.Writer, c *blog.Corpus) error {
 }
 
 // Read decodes a corpus from a single XML document, rebuilding all indexes
-// and validating referential integrity.
+// and validating referential integrity. Only whitespace, comments and
+// processing instructions may follow the root element: a second document
+// or any other trailing token is an error rather than silently dropped.
 func Read(r io.Reader) (*blog.Corpus, error) {
-	var doc fileDoc
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
+	w := &walker{d: xml.NewDecoder(r), c: blog.NewCorpus()}
+	if err := w.document(); err != nil {
 		return nil, fmt.Errorf("xmlstore: decode: %w", err)
 	}
-	return assemble(doc.Bloggers, doc.Posts, doc.Links)
+	return w.finish()
 }
 
 // Save writes the corpus snapshot to path, creating parent directories.
@@ -142,9 +144,6 @@ func LoadShards(dir string) (*blog.Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bloggers []blog.Blogger
-	var posts []blog.Post
-	var links []blog.Link
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".xml") {
@@ -152,48 +151,20 @@ func LoadShards(dir string) (*blog.Corpus, error) {
 		}
 	}
 	sort.Strings(names)
+	w := &walker{c: blog.NewCorpus()}
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		var doc shardDoc
-		err = xml.NewDecoder(f).Decode(&doc)
+		w.d = xml.NewDecoder(f)
+		err = w.shard()
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("xmlstore: shard %s: %w", name, err)
 		}
-		bloggers = append(bloggers, doc.Blogger)
-		posts = append(posts, doc.Posts...)
-		links = append(links, doc.Links...)
 	}
-	return assemble(bloggers, posts, links)
-}
-
-// assemble builds a validated corpus from decoded parts.
-func assemble(bloggers []blog.Blogger, posts []blog.Post, links []blog.Link) (*blog.Corpus, error) {
-	c := blog.NewCorpus()
-	for i := range bloggers {
-		b := bloggers[i]
-		if err := c.AddBlogger(&b); err != nil {
-			return nil, fmt.Errorf("xmlstore: %w", err)
-		}
-	}
-	for i := range posts {
-		p := posts[i]
-		if err := c.AddPost(&p); err != nil {
-			return nil, fmt.Errorf("xmlstore: %w", err)
-		}
-	}
-	for _, l := range links {
-		if err := c.AddLink(l.From, l.To); err != nil {
-			return nil, fmt.Errorf("xmlstore: %w", err)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("xmlstore: %w", err)
-	}
-	return c, nil
+	return w.finish()
 }
 
 // sanitize maps a blogger ID to a safe file name.
