@@ -14,7 +14,9 @@ package mass_bench
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -1349,6 +1351,30 @@ func BenchmarkDegradedScatter(b *testing.B) {
 	b.Run("query/degraded", func(b *testing.B) { scatter(b, true) })
 }
 
+// slabDigest is the FNV-64a hash of an analysis result's dense slabs
+// (Influence, AP, GL, PostScore, Quality, Novelty, Sentiment,
+// DomainScores, PostDomains, each value's IEEE bits little-endian), then
+// of its blogger, post and domain order, one name per line.
+func slabDigest(d influence.DenseView) uint64 {
+	h := fnv.New64a()
+	for _, slab := range [][]float64{d.Influence, d.AP, d.GL, d.PostScore, d.Quality, d.Novelty,
+		d.Sentiment, d.DomainScores, d.PostDomains} {
+		for _, v := range slab {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	for _, id := range d.Bloggers {
+		fmt.Fprintln(h, id)
+	}
+	for _, id := range d.Posts {
+		fmt.Fprintln(h, id)
+	}
+	for _, name := range d.Domains {
+		fmt.Fprintln(h, name)
+	}
+	return h.Sum64()
+}
+
 // BenchmarkColdBoot splits a cold mass-server boot on the paper-scale
 // corpus (synth seed 1: 3000 bloggers, ~40k posts, as crawled in the MASS
 // paper) into its serial stages:
@@ -1361,7 +1387,9 @@ func BenchmarkDegradedScatter(b *testing.B) {
 //	stats    — the boot log line's Cluster.Stats over the built cluster.
 //
 // Run with -benchmem: the summed B/op of the three stages is the boot's
-// allocation volume.
+// allocation volume. The stats stage logs the boot stats line and
+// slabDigest of the built cluster, so two commits can be checked for
+// bit-identical scores.
 func BenchmarkColdBoot(b *testing.B) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 1, Bloggers: 3000, Posts: 40000})
 	if err != nil {
@@ -1409,6 +1437,7 @@ func BenchmarkColdBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer cl.Close()
+		b.Logf("%s; dense slab digest %016x", cl.Stats(cl.View()), slabDigest(cl.View().Snaps[0].Result().Dense()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -464,15 +464,26 @@ func TestChaosChurn(t *testing.T) {
 
 	// A shard can end the chaos window Healthy-but-killed (crashed after
 	// its last rejoin with nothing left to spill). One probe write per
-	// shard forces the supervisor to notice and cycle it.
+	// shard forces the supervisor to notice and cycle it. A probe shed by
+	// a still-full spill queue is retried after its Retry-After hint, as
+	// the churn ingester does, within the settle deadline.
+	settleBy := time.Now().Add(15 * time.Second)
 	for s := 0; s < cl.NumShards(); s++ {
-		if err := cl.AddBatch(core.Batch{
-			Bloggers: []*blog.Blogger{{ID: ownedID(cl, s, "settle")}},
-		}); err != nil {
-			t.Fatalf("settle write to shard %d: %v", s, err)
+		for {
+			err := cl.AddBatch(core.Batch{
+				Bloggers: []*blog.Blogger{{ID: ownedID(cl, s, "settle")}},
+			})
+			if err == nil {
+				break
+			}
+			var ov *OverloadError
+			if !errors.As(err, &ov) || time.Now().Add(ov.RetryAfter).After(settleBy) {
+				t.Fatalf("settle write to shard %d: %v", s, err)
+			}
+			time.Sleep(ov.RetryAfter)
 		}
 	}
-	waitSettled(t, cl, 15*time.Second)
+	waitSettled(t, cl, time.Until(settleBy))
 	if err := cl.Refresh(t.Context()); err != nil {
 		t.Fatal(err)
 	}

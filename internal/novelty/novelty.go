@@ -14,9 +14,7 @@ package novelty
 
 import (
 	"slices"
-	"strings"
 
-	"mass/internal/lexicon"
 	"mass/internal/textutil"
 )
 
@@ -31,7 +29,7 @@ const (
 
 // Detector scores post novelty. The zero value is unusable; call New.
 type Detector struct {
-	indicators []string
+	indicators *indicatorSet
 	// shingleK is the shingle size for near-duplicate detection.
 	shingleK int
 	// dupThreshold is the Jaccard similarity above which a post counts as
@@ -63,7 +61,7 @@ type Detector struct {
 // 4-token shingles and a 0.7 Jaccard duplicate threshold.
 func New() *Detector {
 	return &Detector{
-		indicators:   lexicon.CopyIndicators(),
+		indicators:   copyIndicators,
 		shingleK:     4,
 		dupThreshold: 0.7,
 	}
@@ -73,13 +71,7 @@ func New() *Detector {
 // indicator, the score is in (0, 0.1], scaled down by the number of
 // distinct indicators present; otherwise 1.
 func (d *Detector) IndicatorScore(text string) float64 {
-	lower := strings.ToLower(text)
-	hits := 0
-	for _, ind := range d.indicators {
-		if strings.Contains(lower, ind) {
-			hits++
-		}
-	}
+	hits := d.indicators.hits(text)
 	if hits == 0 {
 		return OriginalScore
 	}

@@ -4,7 +4,75 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"mass/internal/lexicon"
 )
+
+// indicatorScoreOracle is IndicatorScore as it was before the one-pass
+// matcher: lowercase a copy of the text, then one substring scan per
+// indicator. Kept only as the equivalence oracle.
+func indicatorScoreOracle(text string) float64 {
+	lower := strings.ToLower(text)
+	hits := 0
+	for _, ind := range lexicon.CopyIndicators() {
+		if strings.Contains(lower, ind) {
+			hits++
+		}
+	}
+	if hits == 0 {
+		return OriginalScore
+	}
+	return maxCopyScore / float64(hits)
+}
+
+// FuzzIndicatorScore checks the one-pass matcher against the oracle,
+// bit for bit.
+func FuzzIndicatorScore(f *testing.F) {
+	for _, s := range []string{
+		"", "zt", "ZT", "Z", "reposted fro", "Reposted From ZT", "SOURCE: x",
+		"credit to and courtesy of and Full Text Below and quoted in full",
+		"repostrepost from reprint fromreprinted", "originally postedoriginally published original source",
+		"via email forward zhuan tie excerpted from all rights belong copied from copy from forwarded from forward from",
+		"\u212Aelvin z\u212At", "\u0130nfo origİnally", "ünïcode reposted from", "bad \xff utf8 zt",
+		"ﬀ ß ΣΑΣ reprinted",
+	} {
+		f.Add(s)
+	}
+	d := New()
+	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := d.IndicatorScore(text), indicatorScoreOracle(text); got != want {
+			t.Fatalf("IndicatorScore(%q) = %v, oracle %v", text, got, want)
+		}
+	})
+}
+
+// TestIndicatorScoreMatchesOracle runs the fuzz seeds and generated posts
+// mixing every indicator with random case and non-ASCII noise.
+func TestIndicatorScoreMatchesOracle(t *testing.T) {
+	d := New()
+	rng := rand.New(rand.NewSource(14))
+	ind := lexicon.CopyIndicators()
+	noise := []string{"the ", "post ", "Über ", "\u212A", "\u0130", " ", "repo", "ZT", "\xff"}
+	for n := 0; n < 3000; n++ {
+		var b strings.Builder
+		for k := rng.Intn(12); k >= 0; k-- {
+			w := noise[rng.Intn(len(noise))]
+			if rng.Intn(3) == 0 {
+				w = ind[rng.Intn(len(ind))]
+			}
+			for _, r := range w {
+				if rng.Intn(4) == 0 {
+					r = []rune(strings.ToUpper(string(r)))[0]
+				}
+				b.WriteRune(r)
+			}
+		}
+		text := b.String()
+		if got, want := d.IndicatorScore(text), indicatorScoreOracle(text); got != want {
+			t.Fatalf("IndicatorScore(%q) = %v, oracle %v", text, got, want)
+		}
+	}
+}
 
 // twoPass is the duplicate detector as it was before the fused index: a
 // scoring pass that looks every shingle up and counts overlaps in a fresh

@@ -220,7 +220,7 @@ func TestSegmentRotationAndMultiSegmentRecovery(t *testing.T) {
 	wantOps(t, rec.Ops, ops)
 }
 
-func corpusForSnapshot(t *testing.T) *blog.Corpus {
+func corpusForSnapshot(t testing.TB) *blog.Corpus {
 	t.Helper()
 	bloggers := []*blog.Blogger{
 		{ID: "a", Name: "Alice", Profile: "graphs", Friends: []blog.BloggerID{"b"}},

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"mass/internal/blog"
 	"mass/internal/synth"
@@ -156,6 +157,45 @@ var readSeeds = []string{
 	`<blogosphere></blogosphere><<<garbage`,
 	`<blogosphere></blogosphere></blogosphere>`,
 	`<blogosphere></blogosphere>text`,
+	// Scanner edge cases: line-end normalization, character references,
+	// directives, invalid bytes, unterminated markup, prefixed names and
+	// a body longer than any read buffer.
+	postDoc("a\r\nb\rc\r\r\nd", ` trueDomain="x\r\ny\rz"`),
+	postDoc("<![CDATA[a\r\nb\r]]>\r", ""),
+	postDoc("&#0;", ""),
+	postDoc("&#xD800;", ""),
+	postDoc("&#x110000;", ""),
+	postDoc("&#65;&#x41;&#X41;", ""),
+	postDoc("&#65;&#x42;&#x1F600;&#13;&#10;&#9;&lt;&gt;&amp;&apos;&quot;", ` trueDomain="&#65;&#xD;&#xA;&lt;"`),
+	postDoc("&#;&#x;&#65", ""),
+	`<!DOCTYPE x [ <!ENTITY e "v"> <!-- a > b --> <!ATTLIST a b CDATA '>'> ]><blogosphere/>`,
+	`<!DOCTYPE x [ <!ENTITY e "v"> ]><blogosphere><bloggers><blogger id="a"><name>&e;</name></blogger></bloggers></blogosphere>`,
+	`<!DOCTYPE x [ <!ENTITY e "v"> ]<blogosphere/>`,
+	postDoc("ok \xff\xfe bytes", ""),
+	postDoc("ok \xed\xa0\x80 surrogate", ""),
+	postDoc("ok \xef\xbf\xbe nonchar", ""),
+	postDoc("ok \x01 control", ""),
+	postDoc("ok", ` trueDomain`),
+	postDoc("ok", ` trueDomain=`),
+	postDoc("ok", ` trueDomain=x`),
+	postDoc("ok", ` trueDomain="<"`),
+	postDoc("<!-- never closed", ""),
+	postDoc("<!-- a -- b -->", ""),
+	postDoc("<![CDATA[ runs to EOF", ""),
+	`<blogosphere><a:x></b:x></blogosphere>`,
+	`<blogosphere><a:x></a:x><a:b:c/></blogosphere>`,
+	`<blogosphere><:x></:x><x:></x:><x:y></x:y></blogosphere>`,
+	`<blogosphere><bloggers><blogger id="a"><名前>x</名前><name>ü</name></blogger></bloggers></blogosphere>`,
+	`<blogosphere><bloggers><blogger id="a"><·x/></blogger></bloggers></blogosphere>`,
+	postDoc(strings.Repeat("long body ", 7000)+"&amp;"+strings.Repeat("ü", 1000), ""),
+}
+
+// postDoc is a one-blogger, one-post document whose post body is the raw
+// markup body and whose <post> start tag ends with the raw attributes
+// attrs.
+func postDoc(body, attrs string) string {
+	return `<?xml version="1.0" encoding="UTF-8"?><blogosphere><bloggers><blogger id="a"/></bloggers>` +
+		`<posts><post id="p" author="a"` + attrs + `><body>` + body + `</body></post></posts></blogosphere>`
 }
 
 // richSeed is accepted by both decoders and exercises most field rules.
@@ -339,5 +379,31 @@ func TestLoadShardsMatchesReflectiveOracle(t *testing.T) {
 	}
 	if b := got.Bloggers["zz-merged"]; b.Name != "first" || b.Profile != "second" || len(b.Friends) != 2 {
 		t.Fatalf("repeated <blogger> elements did not merge: %+v", b)
+	}
+}
+
+// TestNameTablesMatchEncodingXML: for every BMP rune (the tables hold no
+// others) and a sample above it, isName agrees with encoding/xml's Strict
+// decoder on the rune as a name's first and as its second character.
+func TestNameTablesMatchEncodingXML(t *testing.T) {
+	accepts := func(name string) bool {
+		d := xml.NewDecoder(strings.NewReader("<" + name + "/>"))
+		_, err := d.RawToken()
+		return err == nil
+	}
+	var buf [utf8.UTFMax]byte
+	for r := rune(0x80); r <= 0x10FFFF; r++ {
+		if r > 0xFFFF && r%251 != 0 {
+			continue
+		}
+		if !utf8.ValidRune(r) {
+			continue
+		}
+		ch := string(buf[:utf8.EncodeRune(buf[:], r)])
+		for _, name := range []string{ch, "a" + ch} {
+			if got, want := isName([]byte(name)), accepts(name); got != want {
+				t.Fatalf("isName(%q) = %v, encoding/xml accepts it: %v", name, got, want)
+			}
+		}
 	}
 }

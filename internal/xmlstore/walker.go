@@ -2,7 +2,6 @@ package xmlstore
 
 import (
 	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -10,11 +9,11 @@ import (
 	"mass/internal/blog"
 )
 
-// walker decodes corpus documents by walking xml.Decoder.Token, which
-// keeps encoding/xml's well-formedness checks (end tags must match) but
-// skips its reflection and the intermediate value slices a reflective
-// decode builds. It reproduces what xml.Unmarshal would do with the
-// fileDoc and shardDoc schemas:
+// walker decodes corpus documents from the tokens of a scanner, which
+// keeps encoding/xml's Strict well-formedness checks (end tags must match)
+// without its per-byte reader or the reflection and intermediate value
+// slices of a reflective decode. It reproduces what xml.Unmarshal would do
+// with the fileDoc and shardDoc schemas:
 //
 //   - elements and attributes match on their local name, in any
 //     namespace;
@@ -24,16 +23,26 @@ import (
 //     element or attribute overwrites (slices append);
 //   - time.Time attributes decode through UnmarshalText.
 //
+// Every field is a fresh string: nothing the corpus keeps aliases the
+// input buffer, so the buffer is garbage once decoding returns.
+//
 // Bloggers go into the corpus as soon as they are complete. Posts and
 // links are queued (as pointers, not copies) until the whole input is
 // read, because a post may name a blogger declared later in the document.
 type walker struct {
-	d     *xml.Decoder // the current input
+	s     scanner      // the current input
 	c     *blog.Corpus // the corpus being built, across inputs
-	text  []byte       // character-data scratch, reused by every text field
+	text  []byte       // decoding scratch, reused by every field
 	posts []*blog.Post
 	links []blog.Link
 	err   error // first blogger the corpus rejected
+}
+
+// startTag is the start tag a children callback is handed. Its slices
+// are valid until the next token is read.
+type startTag struct {
+	local []byte
+	attrs []attr
 }
 
 // errTrailing reports content after the root element.
@@ -44,13 +53,16 @@ var errTrailing = errors.New("content after the root element")
 // processing instructions or directives before it are ignored.
 func (w *walker) root(name string) error {
 	for {
-		tok, err := w.d.Token()
+		k, err := w.s.next()
 		if err != nil {
 			return err
 		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Local != name {
-				return fmt.Errorf("expected element type <%s> but have <%s>", name, se.Name.Local)
+		switch k {
+		case kindEOF:
+			return io.EOF
+		case kindStart:
+			if string(w.s.local) != name {
+				return fmt.Errorf("expected element type <%s> but have <%s>", name, w.s.local)
 			}
 			return nil
 		}
@@ -62,17 +74,17 @@ func (w *walker) root(name string) error {
 // errTrailing, and malformed trailing bytes are a syntax error.
 func (w *walker) end() error {
 	for {
-		tok, err := w.d.Token()
-		if err == io.EOF {
-			return nil
-		}
+		k, err := w.s.next()
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case xml.Comment, xml.ProcInst:
-		case xml.CharData:
-			if len(bytes.Trim(t, " \t\r\n")) > 0 {
+		switch k {
+		case kindEOF:
+			return nil
+		case kindComment:
+		case kindText:
+			w.text = appendText(w.text[:0], w.s.text)
+			if len(bytes.Trim(w.text, " \t\r\n")) > 0 {
 				return errTrailing
 			}
 		default:
@@ -86,33 +98,53 @@ func (w *walker) end() error {
 // reports whether it consumed the child (through its end tag); children
 // it declines are skipped whole. Character data and other tokens between
 // children are ignored.
-func (w *walker) children(fn func(se xml.StartElement) (bool, error)) error {
+func (w *walker) children(fn func(se startTag) (bool, error)) error {
 	for {
-		tok, err := w.d.Token()
+		k, err := w.s.next()
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			consumed, err := fn(t)
+		switch k {
+		case kindStart:
+			consumed, err := fn(startTag{w.s.local, w.s.attrs})
 			if err != nil {
 				return err
 			}
 			if !consumed {
-				if err := w.d.Skip(); err != nil {
+				if err := w.skip(); err != nil {
 					return err
 				}
 			}
-		case xml.EndElement:
+		case kindEnd:
 			return nil
 		}
 	}
 }
 
+// skip consumes the element whose start tag was just read, through its
+// end tag.
+func (w *walker) skip() error {
+	for depth := 0; ; {
+		k, err := w.s.next()
+		if err != nil {
+			return err
+		}
+		switch k {
+		case kindStart:
+			depth++
+		case kindEnd:
+			if depth == 0 {
+				return nil
+			}
+			depth--
+		}
+	}
+}
+
 // each is children restricted to elements named name.
-func (w *walker) each(name string, fn func(se xml.StartElement) error) error {
-	return w.children(func(se xml.StartElement) (bool, error) {
-		if se.Name.Local != name {
+func (w *walker) each(name string, fn func(se startTag) error) error {
+	return w.children(func(se startTag) (bool, error) {
+		if string(se.local) != name {
 			return false, nil
 		}
 		return true, fn(se)
@@ -120,25 +152,46 @@ func (w *walker) each(name string, fn func(se xml.StartElement) error) error {
 }
 
 // chardata returns the character data directly inside the element whose
-// start tag was just read, consuming it through its end tag.
+// start tag was just read, consuming it through its end tag. The common
+// case, one run that needs no decoding, is copied straight from the input.
 func (w *walker) chardata() (string, error) {
 	w.text = w.text[:0]
+	var only []byte // the one plain run so far, not yet copied to w.text
 	for {
-		tok, err := w.d.Token()
+		k, err := w.s.next()
 		if err != nil {
 			return "", err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if err := w.d.Skip(); err != nil {
+		switch k {
+		case kindStart:
+			if err := w.skip(); err != nil {
 				return "", err
 			}
-		case xml.CharData:
-			w.text = append(w.text, t...)
-		case xml.EndElement:
+		case kindText:
+			t := w.s.text
+			if t.plain && only == nil && len(w.text) == 0 {
+				only = t.raw
+				continue
+			}
+			w.text = appendText(append(w.text, only...), t)
+			only = nil
+		case kindEnd:
+			if only != nil {
+				return string(only), nil
+			}
 			return string(w.text), nil
 		}
 	}
+}
+
+// value returns the decoded value of an attribute, in w.text's scratch
+// unless it needs no decoding. It is valid until the next field decodes.
+func (w *walker) value(a attr) []byte {
+	if a.value.plain {
+		return a.value.raw
+	}
+	w.text = appendText(w.text[:0], a.value)
+	return w.text
 }
 
 // document decodes a fileDoc (<blogosphere>).
@@ -146,10 +199,10 @@ func (w *walker) document() error {
 	if err := w.root("blogosphere"); err != nil {
 		return err
 	}
-	err := w.children(func(se xml.StartElement) (bool, error) {
-		switch se.Name.Local {
+	err := w.children(func(se startTag) (bool, error) {
+		switch string(se.local) {
 		case "bloggers":
-			return true, w.each("blogger", func(se xml.StartElement) error {
+			return true, w.each("blogger", func(se startTag) error {
 				b := &blog.Blogger{}
 				if err := w.blogger(se, b); err != nil {
 					return err
@@ -177,8 +230,8 @@ func (w *walker) shard() error {
 		return err
 	}
 	b := &blog.Blogger{}
-	err := w.children(func(se xml.StartElement) (bool, error) {
-		switch se.Name.Local {
+	err := w.children(func(se startTag) (bool, error) {
+		switch string(se.local) {
 		case "blogger":
 			return true, w.blogger(se, b)
 		case "posts":
@@ -208,21 +261,21 @@ func (w *walker) addBlogger(b *blog.Blogger) {
 }
 
 // blogger decodes a <blogger> element into b.
-func (w *walker) blogger(se xml.StartElement, b *blog.Blogger) error {
-	for _, a := range se.Attr {
-		if a.Name.Local == "id" {
-			b.ID = blog.BloggerID(a.Value)
+func (w *walker) blogger(se startTag, b *blog.Blogger) error {
+	for _, a := range se.attrs {
+		if string(a.local) == "id" {
+			b.ID = blog.BloggerID(w.value(a))
 		}
 	}
-	return w.children(func(se xml.StartElement) (bool, error) {
+	return w.children(func(se startTag) (bool, error) {
 		var err error
-		switch se.Name.Local {
+		switch string(se.local) {
 		case "name":
 			b.Name, err = w.chardata()
 		case "profile":
 			b.Profile, err = w.chardata()
 		case "friends":
-			err = w.each("friend", func(xml.StartElement) error {
+			err = w.each("friend", func(startTag) error {
 				f, err := w.chardata()
 				b.Friends = append(b.Friends, blog.BloggerID(f))
 				return err
@@ -235,37 +288,37 @@ func (w *walker) blogger(se xml.StartElement, b *blog.Blogger) error {
 }
 
 // post decodes a <post> element and queues it.
-func (w *walker) post(se xml.StartElement) error {
+func (w *walker) post(se startTag) error {
 	p := &blog.Post{}
-	for _, a := range se.Attr {
-		switch a.Name.Local {
+	for _, a := range se.attrs {
+		switch string(a.local) {
 		case "id":
-			p.ID = blog.PostID(a.Value)
+			p.ID = blog.PostID(w.value(a))
 		case "author":
-			p.Author = blog.BloggerID(a.Value)
+			p.Author = blog.BloggerID(w.value(a))
 		case "posted":
-			if err := p.Posted.UnmarshalText([]byte(a.Value)); err != nil {
+			if err := p.Posted.UnmarshalText(w.value(a)); err != nil {
 				return err
 			}
 		case "trueDomain":
-			p.TrueDomain = a.Value
+			p.TrueDomain = string(w.value(a))
 		}
 	}
-	err := w.children(func(se xml.StartElement) (bool, error) {
+	err := w.children(func(se startTag) (bool, error) {
 		var err error
-		switch se.Name.Local {
+		switch string(se.local) {
 		case "title":
 			p.Title, err = w.chardata()
 		case "body":
 			p.Body, err = w.chardata()
 		case "comments":
-			err = w.each("comment", func(se xml.StartElement) error {
+			err = w.each("comment", func(se startTag) error {
 				cm, err := w.comment(se)
 				p.Comments = append(p.Comments, cm)
 				return err
 			})
 		case "tags":
-			err = w.each("tag", func(xml.StartElement) error {
+			err = w.each("tag", func(startTag) error {
 				tag, err := w.chardata()
 				p.Tags = append(p.Tags, tag)
 				return err
@@ -283,20 +336,20 @@ func (w *walker) post(se xml.StartElement) error {
 }
 
 // comment decodes a <comment> element.
-func (w *walker) comment(se xml.StartElement) (blog.Comment, error) {
+func (w *walker) comment(se startTag) (blog.Comment, error) {
 	var cm blog.Comment
-	for _, a := range se.Attr {
-		switch a.Name.Local {
+	for _, a := range se.attrs {
+		switch string(a.local) {
 		case "commenter":
-			cm.Commenter = blog.BloggerID(a.Value)
+			cm.Commenter = blog.BloggerID(w.value(a))
 		case "posted":
-			if err := cm.Posted.UnmarshalText([]byte(a.Value)); err != nil {
+			if err := cm.Posted.UnmarshalText(w.value(a)); err != nil {
 				return cm, err
 			}
 		}
 	}
-	err := w.children(func(se xml.StartElement) (bool, error) {
-		if se.Name.Local != "text" {
+	err := w.children(func(se startTag) (bool, error) {
+		if string(se.local) != "text" {
 			return false, nil
 		}
 		var err error
@@ -307,18 +360,18 @@ func (w *walker) comment(se xml.StartElement) (blog.Comment, error) {
 }
 
 // link decodes a <link> element and queues it.
-func (w *walker) link(se xml.StartElement) error {
+func (w *walker) link(se startTag) error {
 	var l blog.Link
-	for _, a := range se.Attr {
-		switch a.Name.Local {
+	for _, a := range se.attrs {
+		switch string(a.local) {
 		case "from":
-			l.From = blog.BloggerID(a.Value)
+			l.From = blog.BloggerID(w.value(a))
 		case "to":
-			l.To = blog.BloggerID(a.Value)
+			l.To = blog.BloggerID(w.value(a))
 		}
 	}
 	w.links = append(w.links, l)
-	return w.d.Skip()
+	return w.skip()
 }
 
 // finish adds the queued posts and links — after every blogger, as the

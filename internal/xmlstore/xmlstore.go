@@ -6,6 +6,16 @@
 // Two layouts are supported: a single snapshot file (Save/Load) and a
 // sharded directory with one XML file per blogger (SaveShards/LoadShards),
 // which is what a multi-threaded crawler naturally produces.
+//
+// Writing goes through encoding/xml's Encoder. Reading does not use
+// encoding/xml: Read, Load and LoadShards hold each document in memory
+// and decode it with a walker (walker.go) over a purpose-built scanner
+// (scanner.go). The scanner accepts and rejects exactly what encoding/xml's
+// Strict Decoder.Token does, and the walker builds the corpus a reflective
+// xml.Unmarshal into the schemas below would, except that it also rejects
+// content after the root element; FuzzRead checks both against the
+// reflective decode kept in the tests. No decoded string aliases the
+// input buffer, which is garbage once a load returns.
 package xmlstore
 
 import (
@@ -63,7 +73,17 @@ func Write(w io.Writer, c *blog.Corpus) error {
 // processing instructions may follow the root element: a second document
 // or any other trailing token is an error rather than silently dropped.
 func Read(r io.Reader) (*blog.Corpus, error) {
-	w := &walker{d: xml.NewDecoder(r), c: blog.NewCorpus()}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmlstore: read: %w", err)
+	}
+	return decode(data)
+}
+
+// decode is Read over a document already in memory.
+func decode(data []byte) (*blog.Corpus, error) {
+	w := &walker{c: blog.NewCorpus()}
+	w.s.reset(data)
 	if err := w.document(); err != nil {
 		return nil, fmt.Errorf("xmlstore: decode: %w", err)
 	}
@@ -88,12 +108,11 @@ func Save(path string, c *blog.Corpus) error {
 
 // Load reads a corpus snapshot from path.
 func Load(path string) (*blog.Corpus, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	return decode(data)
 }
 
 // SaveShards writes one XML file per blogger into dir (created if needed).
@@ -153,14 +172,12 @@ func LoadShards(dir string) (*blog.Corpus, error) {
 	sort.Strings(names)
 	w := &walker{c: blog.NewCorpus()}
 	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		w.d = xml.NewDecoder(f)
-		err = w.shard()
-		f.Close()
-		if err != nil {
+		w.s.reset(data)
+		if err := w.shard(); err != nil {
 			return nil, fmt.Errorf("xmlstore: shard %s: %w", name, err)
 		}
 	}
